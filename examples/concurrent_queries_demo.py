@@ -12,9 +12,9 @@ the full lifecycle story in one run:
 - every *surviving* query returns results byte-identical to a serial
   fault-free run.
 
-After the drain, the demo checks the cleanup invariants: cancelled
-queries' shuffle outputs are released (no orphaned pinned blocks) and
-the tracer has no half-open spans.
+After the drain, the demo checks the cleanup invariants: every query,
+finished or killed, freed its shuffle outputs (no pinned shuffle block
+remains on any worker) and the tracer has no half-open spans.
 
 Run with::
 
@@ -145,14 +145,14 @@ def main(seed: int = 11) -> int:
     open_spans = [s.name for s in shark.trace.spans if s.end is None]
     if open_spans:
         failures.append(f"half-open tracer spans: {open_spans}")
-    registered = shark.engine.shuffle_manager.registered_block_ids()
+    # Every query freed its shuffles when it ended, whatever its
+    # outcome: after the drain no pinned map output may remain.
     pinned = shark.engine.cluster.pinned_block_ids()
-    orphaned = pinned - registered
-    if orphaned:
-        failures.append(f"orphaned pinned shuffle blocks: {sorted(orphaned)}")
+    if pinned:
+        failures.append(f"pinned shuffle blocks after drain: {sorted(pinned)}")
     print(
         f"  cleanup: {len(open_spans)} open spans, "
-        f"{len(orphaned)} orphaned pinned blocks"
+        f"{len(pinned)} pinned shuffle blocks"
     )
 
     if failures:

@@ -130,9 +130,14 @@ class EngineContext:
     # ------------------------------------------------------------------
     # Shared variables
     # ------------------------------------------------------------------
-    def broadcast(self, value: Any) -> Broadcast:
+    def broadcast(
+        self, value: Any, size_bytes: Optional[int] = None
+    ) -> Broadcast:
         broadcast = Broadcast(
-            self._next_broadcast_id, value, accountant=self.memory
+            self._next_broadcast_id,
+            value,
+            accountant=self.memory,
+            size_bytes=size_bytes,
         )
         self._next_broadcast_id += 1
         self._live_broadcasts.append(broadcast)

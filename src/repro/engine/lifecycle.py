@@ -188,8 +188,9 @@ class QueryHandle:
     #: Task attempts this query has launched (retries and speculative
     #: copies included) — the fairness currency.
     tasks_launched: int = 0
-    #: Shuffle ids registered while this query held the baton; released
-    #: on cancellation so no pinned map-output blocks leak.
+    #: Shuffle ids this query's shuffle scope claimed; released when the
+    #: query ends, whatever its outcome, so no pinned map-output blocks
+    #: leak.
     shuffle_ids: set = field(default_factory=set)
     #: cache_lookup records collected by the SQL cache stack while this
     #: query ran (the lifecycle manager owns its event-log slice).
@@ -587,6 +588,9 @@ class QueryLifecycleManager:
             kind="lifecycle",
             query_id=handle.query_id,
         )
+        # Statements the query runs join this scope: its shuffles live
+        # until the query ends.
+        handle.shuffle_ids = self._ctx.scheduler.open_shuffle_scope()
         try:
             self._observe(handle)
             handle.token.raise_if_cancelled()
@@ -672,12 +676,6 @@ class QueryLifecycleManager:
         if self.in_query():
             self._current.charged_seconds += seconds
 
-    def note_shuffle(self, shuffle_id: int) -> None:
-        """Record that the running query registered a shuffle (its map
-        outputs are released if the query is cancelled or fails)."""
-        if self.in_query():
-            self._current.shuffle_ids.add(shuffle_id)
-
     # ------------------------------------------------------------------
     # Cancellation and cleanup
     # ------------------------------------------------------------------
@@ -716,8 +714,9 @@ class QueryLifecycleManager:
         return True
 
     def _cleanup(self, handle: QueryHandle) -> None:
-        """Close the query's spans and, on abnormal exit, release its
-        shuffle outputs — no leaked pinned blocks, no open spans."""
+        """Close the query's spans and shuffle scope — no leaked pinned
+        blocks, no open spans — and, on abnormal exit, dump the flight
+        recorder."""
         tracer = self._ctx.tracer
         status = {
             DONE: "ok",
@@ -740,15 +739,15 @@ class QueryLifecycleManager:
             tracer.flight_dump(
                 status, query=f"lifecycle-{handle.query_id}"
             )
-            released = self._ctx.scheduler.release_query_shuffles(
-                handle.shuffle_ids
+        released = self._ctx.scheduler.close_shuffle_scope(
+            handle.shuffle_ids
+        )
+        if released:
+            tracer.instant(
+                "query.shuffles_released", "query",
+                query_id=handle.query_id,
+                blocks=released,
             )
-            if released:
-                tracer.instant(
-                    "query.shuffles_released", "query",
-                    query_id=handle.query_id,
-                    blocks=released,
-                )
 
     def _record_completion(self, handle: QueryHandle) -> None:
         metrics = self._ctx.tracer.metrics

@@ -12,7 +12,16 @@ behaviour implements the paper's fault-tolerance guarantees (Section 2.3):
 * recovered partitions spread across all live workers (parallel recovery);
 * shuffle outputs that already exist are *not* recomputed — a stage whose
   map outputs are all present is skipped, which is also what lets PDE
-  pre-run the map side of a shuffle and reuse it (Section 3.1).
+  pre-run the map side of a shuffle and reuse it (Section 3.1); lineage
+  below an RDD whose partitions are all cached is not walked at all.
+
+Shuffle outputs have a query-scoped lifetime: a SQL statement or
+lifecycle query opens a *shuffle scope* (:meth:`DAGScheduler.shuffle_scope`)
+that claims every shuffle first registered inside it, and when the last
+scope claiming a shuffle ends — success, cancellation, deadline or
+failure alike — its map outputs are freed.  Shuffles registered outside
+any scope (``sql2rdd`` results, direct RDD-API jobs) belong to the
+user's RDD and are kept for reuse across actions, as in Spark.
 
 Layered on top of lineage recovery is per-attempt robustness (Section 7's
 straggler/failure discussion), governed by :class:`SchedulerConfig`:
@@ -37,6 +46,8 @@ retries, speculation, and recovery never inflate accumulator values.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
@@ -166,6 +177,11 @@ class DAGScheduler:
         self._merged_map_acc: set[tuple[int, int]] = set()
         #: stage_id -> kept-attempt simulated durations (speculation peers).
         self._stage_durations: dict[int, list[float]] = {}
+        #: shuffle_id -> number of open shuffle scopes claiming it.
+        self._claims: dict[int, int] = {}
+        #: Per-thread open scope (``.claims``): lifecycle queries run on
+        #: their own threads, direct SQL on the driver's.
+        self._scope_local = threading.local()
 
     # ------------------------------------------------------------------
     # Public entry points
@@ -196,8 +212,8 @@ class DAGScheduler:
             rdd=rdd.name,
             partitions=len(partitions),
         )
+        final_stage = Stage(self._new_stage_id(), rdd)
         try:
-            final_stage = Stage(self._new_stage_id(), rdd)
             final_stage.parents = self._parent_stages(rdd)
             self._ensure_parents(final_stage, profile)
 
@@ -255,6 +271,9 @@ class DAGScheduler:
                 recovered_tasks=profile.recovered_tasks,
                 status=job_status,
             )
+            # A result stage is never reused: forget its speculation
+            # peers so the map stays bounded by live shuffle stages.
+            self._stage_durations.pop(final_stage.stage_id, None)
         self.last_profile = profile
         self.history.append(profile)
         return results
@@ -311,25 +330,85 @@ class DAGScheduler:
     def reset_history(self) -> None:
         self.history = []
 
-    def release_query_shuffles(self, shuffle_ids) -> int:
-        """Forget a dead query's shuffles entirely; returns blocks freed.
+    # ------------------------------------------------------------------
+    # Query-scoped shuffle lifetime
+    # ------------------------------------------------------------------
+    @contextmanager
+    def shuffle_scope(self):
+        """Run a block as one query's shuffle scope (see
+        :meth:`open_shuffle_scope`); its shuffles are freed on exit."""
+        claims = self.open_shuffle_scope()
+        try:
+            yield
+        finally:
+            self.close_shuffle_scope(claims)
 
-        Called by the lifecycle manager when a query is cancelled,
-        deadline-expired, or failed: its map outputs are dropped from the
-        workers (they are pinned, so nothing else would ever reclaim
-        them), its stages leave the reusable-stage cache, its speculation
-        peer durations are forgotten, and its exactly-once accumulator
-        guards are cleared so a resubmission of the same computation
-        merges accumulator buffers afresh.
+    def open_shuffle_scope(self) -> Optional[set]:
+        """Open a shuffle scope on the calling thread and return its
+        claim set, or None when one is already open there (a statement
+        nested in a lifecycle query, or a CTAS's inner SELECT, joins the
+        enclosing scope)."""
+        if getattr(self._scope_local, "claims", None) is not None:
+            return None
+        claims: set = set()
+        self._scope_local.claims = claims
+        return claims
+
+    def close_shuffle_scope(self, claims: Optional[set]) -> int:
+        """End a scope opened by :meth:`open_shuffle_scope`: drop its
+        claims and free every shuffle no other open scope still claims.
+        Returns the number of map-output blocks freed."""
+        if claims is None:
+            return 0
+        self._scope_local.claims = None
+        if not claims:
+            return 0
+        freed = []
+        for shuffle_id in claims:
+            remaining = self._claims[shuffle_id] - 1
+            if remaining:
+                self._claims[shuffle_id] = remaining
+            else:
+                del self._claims[shuffle_id]
+                freed.append(shuffle_id)
+        return self.release_query_shuffles(freed)
+
+    def _claim_shuffle(self, shuffle_id: int, registered_now: bool) -> None:
+        """Let the calling thread's open scope claim a shuffle it
+        registered, or one an in-flight scope still claims (so a shared
+        shuffle lives until its last user ends).  A shuffle registered
+        outside every scope belongs to a user-held RDD and is never
+        claimed."""
+        claims = getattr(self._scope_local, "claims", None)
+        if claims is None or shuffle_id in claims:
+            return
+        if registered_now or shuffle_id in self._claims:
+            claims.add(shuffle_id)
+            self._claims[shuffle_id] = self._claims.get(shuffle_id, 0) + 1
+
+    def release_query_shuffles(self, shuffle_ids) -> int:
+        """Forget ended queries' shuffles entirely; returns blocks freed.
+
+        The map outputs are dropped from the workers (they are pinned, so
+        nothing else would ever reclaim them), the stages leave the
+        reusable-stage cache, their speculation peer durations are
+        forgotten, and their exactly-once accumulator guards are cleared
+        so a re-run of the same computation merges accumulator buffers
+        afresh.
         """
+        shuffle_ids = sorted(shuffle_ids)
+        if not shuffle_ids:
+            return 0
         released = 0
-        for shuffle_id in sorted(shuffle_ids):
+        for shuffle_id in shuffle_ids:
             stage = self._shuffle_stages.pop(shuffle_id, None)
             if stage is not None:
                 self._stage_durations.pop(stage.stage_id, None)
             released += self._ctx.shuffle_manager.release_shuffle(shuffle_id)
+        if self._merged_map_acc:
+            dropped = set(shuffle_ids)
             self._merged_map_acc = {
-                key for key in self._merged_map_acc if key[0] != shuffle_id
+                key for key in self._merged_map_acc if key[0] not in dropped
             }
         return released
 
@@ -350,16 +429,27 @@ class DAGScheduler:
         return stage
 
     def _parent_stages(self, rdd: "RDD") -> list[Stage]:
-        """Shuffle stages this RDD depends on through narrow chains."""
+        """Shuffle stages this RDD depends on through narrow chains.
+
+        Lineage below an RDD whose partitions are all cached is not
+        walked: its parent shuffles are not needed (and may have been
+        freed).  Should such a partition be evicted mid-job, the fetch
+        that recomputes it fails and :meth:`_recover_shuffle` re-runs the
+        freed map stage from the lineage."""
         parents: list[Stage] = []
         seen: set[int] = set()
         stack = [rdd]
         visited: set[int] = set()
+        cache_tracker = self._ctx.cache_tracker
         while stack:
             current = stack.pop()
             if current.id in visited:
                 continue
             visited.add(current.id)
+            if current.is_cached and cache_tracker.holds_all(
+                current.id, current.num_partitions
+            ):
+                continue
             for dep in current.dependencies:
                 if isinstance(dep, ShuffleDependency):
                     if dep.shuffle_id not in seen:
@@ -380,12 +470,9 @@ class DAGScheduler:
         """Make every map output of this shuffle available, recursively."""
         dep = stage.shuffle_dep
         manager = self._ctx.shuffle_manager
-        manager.register(dep, stage.num_partitions)
-        lifecycle = self._ctx.lifecycle
-        if lifecycle is not None:
-            # The owning query claims this shuffle: if it is cancelled or
-            # fails, the lifecycle manager releases the map outputs.
-            lifecycle.note_shuffle(dep.shuffle_id)
+        self._claim_shuffle(
+            dep.shuffle_id, manager.register(dep, stage.num_partitions)
+        )
         stage_profile = self._stage_profile(profile, stage)
         tracer = self._ctx.tracer
         stage_span = None
@@ -429,10 +516,19 @@ class DAGScheduler:
                             recovery=round_number > 0,
                             profile=profile,
                         )
-                    except FetchFailedError:
+                    except FetchFailedError as failure:
                         # An ancestor shuffle lost data while we were
                         # running; loop around, re-ensure parents, retry
-                        # what's missing.
+                        # what's missing.  One behind a cached RDD is no
+                        # parent stage: recover it here.
+                        if all(
+                            parent.shuffle_dep.shuffle_id
+                            != failure.shuffle_id
+                            for parent in stage.parents
+                        ):
+                            self._recover_shuffle(
+                                failure.shuffle_id, profile, stage.rdd
+                            )
                         break
             # Recovery rounds exhausted with map outputs still missing:
             # record the failure so traces don't show a perpetually-open,
@@ -512,7 +608,7 @@ class DAGScheduler:
                     shuffle_id=failure.shuffle_id,
                     attempt=attempt,
                 )
-                self._recover_shuffle(failure.shuffle_id, profile)
+                self._recover_shuffle(failure.shuffle_id, profile, stage.rdd)
         tracer.metrics.inc("tasks.failed")
         raise EngineError(
             f"result partition {partition} failed after "
@@ -852,15 +948,9 @@ class DAGScheduler:
             # The backup died; the primary result stands.
             return primary
         if copy.seconds is not None and copy.seconds < primary.seconds:
-            # The copy wins; for map tasks it also wrote last, so the
-            # shuffle locations already point at its worker.
+            # The copy wins.  A map output stays where the primary stored
+            # it: the copy's identical buckets were not stored again.
             return copy
-        if kind == "shuffle-map":
-            # The primary wins but the copy's write stole the location;
-            # point reads back at the primary's output.
-            self._ctx.shuffle_manager.repoint_map_output(
-                stage.shuffle_dep.shuffle_id, partition, primary.worker_id
-            )
         return primary
 
     def _speculation_threshold(self, stage: Stage) -> Optional[float]:
@@ -888,12 +978,19 @@ class DAGScheduler:
         for accumulator, delta in winner.task_ctx.acc_updates:
             accumulator.apply(delta)
 
-    def _recover_shuffle(self, shuffle_id: int, profile: QueryProfile) -> None:
+    def _recover_shuffle(
+        self, shuffle_id: int, profile: QueryProfile, rdd: "RDD"
+    ) -> None:
+        """Re-materialize a shuffle ``rdd`` reads; a freed shuffle's
+        stage is rebuilt from its dependency in ``rdd``'s lineage."""
         stage = self._shuffle_stages.get(shuffle_id)
         if stage is None:
-            raise EngineError(
-                f"cannot recover unknown shuffle {shuffle_id}"
-            )
+            dep = _find_shuffle_dep(rdd, shuffle_id)
+            if dep is None:
+                raise EngineError(
+                    f"cannot recover unknown shuffle {shuffle_id}"
+                )
+            stage = self._stage_for_shuffle(dep)
         self._ensure_shuffle_stage(stage, profile)
 
     # ------------------------------------------------------------------
@@ -916,3 +1013,25 @@ class DAGScheduler:
         )
         profile.stages.append(stage_profile)
         return stage_profile
+
+
+def _find_shuffle_dep(
+    rdd: "RDD", shuffle_id: int
+) -> Optional[ShuffleDependency]:
+    """The dependency that produces ``shuffle_id`` in ``rdd``'s full
+    lineage (cached RDDs included), or None."""
+    stack = [rdd]
+    visited: set[int] = set()
+    while stack:
+        current = stack.pop()
+        if current.id in visited:
+            continue
+        visited.add(current.id)
+        for dep in current.dependencies:
+            if (
+                isinstance(dep, ShuffleDependency)
+                and dep.shuffle_id == shuffle_id
+            ):
+                return dep
+            stack.append(dep.rdd)
+    return None

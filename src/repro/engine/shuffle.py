@@ -218,10 +218,12 @@ class ShuffleManager:
     # ------------------------------------------------------------------
     # Registration and map-side writes
     # ------------------------------------------------------------------
-    def register(self, dep: "ShuffleDependency", num_maps: int) -> None:
+    def register(self, dep: "ShuffleDependency", num_maps: int) -> bool:
+        """Register a shuffle's map side; returns False when it already
+        was registered (True means this call created the registration)."""
         shuffle_id = dep.shuffle_id
         if shuffle_id in self._locations:
-            return
+            return False
         self._locations[shuffle_id] = {}
         self._stats[shuffle_id] = MapOutputStats(
             num_maps=num_maps,
@@ -231,6 +233,7 @@ class ShuffleManager:
             record_counts=[0] * num_maps,
         )
         self._deps[shuffle_id] = dep
+        return True
 
     def is_registered(self, shuffle_id: int) -> bool:
         return shuffle_id in self._locations
@@ -267,12 +270,16 @@ class ShuffleManager:
         for pair in output:
             buckets[partitioner.partition(pair[0])].append(pair)
 
-        worker = self._cluster.worker(worker_id)
-        block_id = _shuffle_block_id(dep.shuffle_id, map_partition)
-        # Pinned: shuffle output only vanishes with the worker (the spill
-        # story of Section 5), never to silent cache eviction.
-        worker.blocks.put(block_id, buckets, pinned=True)
-        self._locations[dep.shuffle_id][map_partition] = worker_id
+        if not self.has_map_output(dep.shuffle_id, map_partition):
+            # Pinned: shuffle output only vanishes with the worker or its
+            # query (the spill story of Section 5), never to silent cache
+            # eviction.  A second attempt of an available map output — a
+            # speculative copy, or a query sharing the shuffle — wrote
+            # identical buckets, so the stored copy stays the only one.
+            worker = self._cluster.worker(worker_id)
+            block_id = _shuffle_block_id(dep.shuffle_id, map_partition)
+            worker.blocks.put(block_id, buckets, pinned=True)
+            self._locations[dep.shuffle_id][map_partition] = worker_id
 
         stats = self._stats[dep.shuffle_id]
         bucket_bytes = [serialized_size_bytes(bucket) for bucket in buckets]
@@ -334,9 +341,16 @@ class ShuffleManager:
         Raises :class:`FetchFailedError` naming the first lost map
         partition when any map output is unavailable.
         """
-        locations = self._locations[shuffle_id]
-        stats = self._stats[shuffle_id]
         reader_lane = metrics.worker_id if metrics is not None else "driver"
+        locations = self._locations.get(shuffle_id)
+        if locations is None:
+            # Freed when the query that ran it ended: a reader reaching
+            # it through lineage (e.g. recomputing an evicted cached
+            # partition) reports the loss, and the scheduler re-runs the
+            # map stage from the dependency.
+            self._record_fetch_failure(shuffle_id, 0, -1, reader_lane)
+            raise FetchFailedError(shuffle_id, 0, -1)
+        stats = self._stats[shuffle_id]
         injector = self._fault_injector
         if injector is not None and injector.corrupt_fetch(
             shuffle_id, reduce_partition
@@ -421,21 +435,24 @@ class ShuffleManager:
             lost_worker=worker_id,
         )
 
+    def has_map_output(self, shuffle_id: int, map_partition: int) -> bool:
+        """True when a registered shuffle's map output is available."""
+        worker_id = self._locations[shuffle_id].get(map_partition)
+        if worker_id is None:
+            return False
+        worker = self._cluster.worker(worker_id)
+        return (
+            worker.alive
+            and _shuffle_block_id(shuffle_id, map_partition) in worker.blocks
+        )
+
     def missing_maps(self, shuffle_id: int) -> list[int]:
         """Map partitions whose output is registered but no longer available."""
-        locations = self._locations[shuffle_id]
-        stats = self._stats[shuffle_id]
-        missing = []
-        for map_partition in range(stats.num_maps):
-            worker_id = locations.get(map_partition)
-            if worker_id is None:
-                missing.append(map_partition)
-                continue
-            worker = self._cluster.worker(worker_id)
-            block_id = _shuffle_block_id(shuffle_id, map_partition)
-            if not worker.alive or block_id not in worker.blocks:
-                missing.append(map_partition)
-        return missing
+        return [
+            map_partition
+            for map_partition in range(self._stats[shuffle_id].num_maps)
+            if not self.has_map_output(shuffle_id, map_partition)
+        ]
 
     def stats(self, shuffle_id: int) -> MapOutputStats:
         return self._stats[shuffle_id]
@@ -464,29 +481,17 @@ class ShuffleManager:
     def map_location(self, shuffle_id: int, map_partition: int) -> int | None:
         return self._locations.get(shuffle_id, {}).get(map_partition)
 
-    def repoint_map_output(
-        self, shuffle_id: int, map_partition: int, worker_id: int
-    ) -> None:
-        """Make ``worker_id`` the authoritative holder of a map output.
-
-        Used when a speculative copy finishes first: both the original and
-        the copy wrote identical buckets, so reduces may fetch from the
-        winner without re-running statistics collection.
-        """
-        self._locations[shuffle_id][map_partition] = worker_id
-
     # ------------------------------------------------------------------
-    # Release (query cancellation / cleanup)
+    # Release (end of the owning query)
     # ------------------------------------------------------------------
     def release_shuffle(self, shuffle_id: int) -> int:
         """Drop one shuffle's registration and its pinned map-output
         blocks; returns the number of blocks removed.
 
-        The lifecycle manager calls this when a query is cancelled,
-        deadline-expired, or failed: its map outputs can never be
-        fetched again, and because they are pinned they would otherwise
-        occupy worker memory forever (the "no orphaned pinned blocks"
-        invariant).
+        The scheduler calls this when the last query claiming the
+        shuffle ends, whatever its outcome: the map outputs are pinned,
+        so nothing else would ever reclaim them (the "no pinned shuffle
+        blocks after the drain" invariant).
         """
         locations = self._locations.pop(shuffle_id, None)
         if locations is None:
@@ -508,7 +513,7 @@ class ShuffleManager:
     def registered_block_ids(self) -> set[str]:
         """Block ids of every registered map output (test/debug helper:
         cross-check against the workers' pinned blocks to prove no
-        cancelled query leaked shuffle storage)."""
+        query leaked shuffle storage)."""
         return {
             _shuffle_block_id(shuffle_id, map_partition)
             for shuffle_id, locations in self._locations.items()

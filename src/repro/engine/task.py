@@ -111,6 +111,21 @@ class CacheTracker:
     def location(self, rdd_id: int, partition: int) -> int | None:
         return self._locations.get((rdd_id, partition))
 
+    def holds_all(self, rdd_id: int, num_partitions: int) -> bool:
+        """True when every partition of an RDD is cached on a live worker
+        (no metrics: a planning check, not a read)."""
+        for partition in range(num_partitions):
+            worker_id = self._locations.get((rdd_id, partition))
+            if worker_id is None:
+                return False
+            worker = self._cluster.worker(worker_id)
+            if (
+                not worker.alive
+                or _rdd_block_id(rdd_id, partition) not in worker.blocks
+            ):
+                return False
+        return True
+
     def put(
         self,
         rdd_id: int,

@@ -54,9 +54,9 @@ failed) must leave:
 * **no open spans** — its query span and any abandoned job/stage spans
   are force-closed with the terminal status (``end_span`` pops through
   children; the manager drains any stragglers on the private stack);
-* **no orphaned pinned shuffle blocks** — map outputs it registered are
-  released (``ShuffleManager.release_shuffle``) unless the query
-  completed normally;
+* **no pinned shuffle blocks** — map outputs it registered are released
+  (``ShuffleManager.release_shuffle``) whatever the outcome, once no
+  other running query still claims them;
 * **no accumulator contributions from cancelled attempts** — attempts
   buffer accumulator updates in their :class:`~repro.engine.task.TaskContext`
   and the scheduler merges only kept attempts, so an attempt killed by

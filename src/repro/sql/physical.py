@@ -1313,10 +1313,11 @@ def _charge_build_side(ctx: "EngineContext", value: Any):
     view attributes build-side memory to joins (the live charge then
     rides the broadcast until the query releases its accounting)."""
     accountant = ctx.memory
+    size_bytes = approximate_size_bytes(value)
     size = accountant.reserve(
-        DRIVER_WORKER, EXECUTION, "join_build", approximate_size_bytes(value)
+        DRIVER_WORKER, EXECUTION, "join_build", size_bytes
     )
-    broadcast = ctx.broadcast(value)
+    broadcast = ctx.broadcast(value, size_bytes=size_bytes)
     accountant.release(DRIVER_WORKER, EXECUTION, "join_build", size)
     return broadcast
 

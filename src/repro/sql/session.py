@@ -123,36 +123,48 @@ class SqlSession:
     # Statement execution
     # ------------------------------------------------------------------
     def execute(self, text: str) -> QueryResult:
-        cache = self.sql_cache
-        if cache is not None:
-            from repro.sql.cache import SqlCache
-
-            memo = cache.memo_for(text)
-            if memo is not None and memo is not SqlCache._MISSING:
-                # Known-cacheable text: the normalized form stands in for
-                # the AST, so parsing is skipped entirely.  A plan- or
-                # result-cache miss below re-parses on demand.
-                self._current_text = text
-                try:
-                    return self._execute_select(None, memo=memo)
-                finally:
-                    self._current_text = None
-                    self.ctx.release_broadcast_accounting()
-        statement = parse(text)
-        self._current_text = text
+        claims = self.ctx.scheduler.open_shuffle_scope()
         try:
-            return self.execute_statement(statement)
+            cache = self.sql_cache
+            if cache is not None:
+                from repro.sql.cache import SqlCache
+
+                memo = cache.memo_for(text)
+                if memo is not None and memo is not SqlCache._MISSING:
+                    # Known-cacheable text: the normalized form stands in
+                    # for the AST, so parsing is skipped entirely.  A
+                    # plan- or result-cache miss below re-parses on
+                    # demand.
+                    self._current_text = text
+                    try:
+                        return self._execute_select(None, memo=memo)
+                    finally:
+                        self._current_text = None
+            statement = parse(text)
+            self._current_text = text
+            try:
+                return self._execute_statement(statement)
+            finally:
+                self._current_text = None
         finally:
-            self._current_text = None
+            self._end_statement(claims)
 
     def execute_statement(self, statement: ast.Statement) -> QueryResult:
+        claims = self.ctx.scheduler.open_shuffle_scope()
         try:
             return self._execute_statement(statement)
         finally:
-            # Broadcast build tables are query-scoped: drop their
-            # execution-pool charge so the ledger balances to zero after
-            # every statement (success, cancellation, or failure).
-            self.ctx.release_broadcast_accounting()
+            self._end_statement(claims)
+
+    def _end_statement(self, claims) -> None:
+        """Every statement exit (success, cancellation, or failure):
+        broadcast build tables drop their execution-pool charge and the
+        shuffles the statement registered are freed, so the ledger
+        balances to zero and no map output outlives its query.  Inside
+        a lifecycle query ``claims`` is None: the statement joined the
+        query's shuffle scope, which frees them when the query ends."""
+        self.ctx.release_broadcast_accounting()
+        self.ctx.scheduler.close_shuffle_scope(claims)
 
     def _execute_statement(self, statement: ast.Statement) -> QueryResult:
         if isinstance(statement, ast.SelectStatement):
@@ -684,32 +696,36 @@ class SqlSession:
         split into compressed columns and records statistics; for external
         tables each partition is encoded into one DFS block.
         """
-        entry = self.catalog.get(table_name)
-        rows = [tuple(row) for row in rows]
-        if self.journal is not None and not self._in_statement:
-            self.journal.log_load(table_name, rows)
-        rdd = self.ctx.parallelize(
-            rows, num_partitions or self.ctx.default_parallelism
-        )
-        if entry.partitioner is not None and entry.distribute_column:
-            from repro.sql.expressions import BoundColumn
-            from repro.sql import physical as phys
-
-            index = entry.schema.index_of(entry.distribute_column)
-            key = BoundColumn(
-                index,
-                entry.schema.fields[index].data_type,
-                entry.distribute_column,
+        # The load's own shuffle (DISTRIBUTE BY repartitioning) is freed
+        # once the cached blocks are built; inside a statement the load
+        # joins the statement's scope.
+        with self.ctx.scheduler.shuffle_scope():
+            entry = self.catalog.get(table_name)
+            rows = [tuple(row) for row in rows]
+            if self.journal is not None and not self._in_statement:
+                self.journal.log_load(table_name, rows)
+            rdd = self.ctx.parallelize(
+                rows, num_partitions or self.ctx.default_parallelism
             )
-            rdd = phys.repartition_rows(rdd, [key], entry.partitioner)
-        if entry.is_cached:
-            self._materialize_cached(entry, rdd, append=True)
-        else:
-            self._materialize_external(entry, rdd, append=True)
-        # Loads/inserts move the table version (result/fragment cache
-        # invalidation) without touching its DDL identity.
-        self.catalog.bump_version(table_name)
-        return len(rows)
+            if entry.partitioner is not None and entry.distribute_column:
+                from repro.sql.expressions import BoundColumn
+                from repro.sql import physical as phys
+
+                index = entry.schema.index_of(entry.distribute_column)
+                key = BoundColumn(
+                    index,
+                    entry.schema.fields[index].data_type,
+                    entry.distribute_column,
+                )
+                rdd = phys.repartition_rows(rdd, [key], entry.partitioner)
+            if entry.is_cached:
+                self._materialize_cached(entry, rdd, append=True)
+            else:
+                self._materialize_external(entry, rdd, append=True)
+            # Loads/inserts move the table version (result/fragment cache
+            # invalidation) without touching its DDL identity.
+            self.catalog.bump_version(table_name)
+            return len(rows)
 
     # ------------------------------------------------------------------
     # Materialization
