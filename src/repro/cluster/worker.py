@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.memory import MemoryAccountant
     from repro.obs import Tracer
+
+
+#: Elements walked when sizing a list, tuple or dict; larger ones are
+#: sampled by a deterministic stride and scaled up.
+SIZE_SAMPLE = 256
 
 
 def approximate_size_bytes(value: Any) -> int:
@@ -17,8 +23,10 @@ def approximate_size_bytes(value: Any) -> int:
     Objects that know their footprint (columnar partitions, column
     batches) expose ``memory_footprint_bytes()``; everything else is
     estimated with ``sys.getsizeof`` plus a recursive pass over
-    container elements (sampled for large lists), which is accurate
-    enough for spill accounting and the memory benchmarks.
+    container elements, which is accurate enough for spill accounting
+    and the memory benchmarks.  Lists, tuples and dicts of more than
+    :data:`SIZE_SAMPLE` elements are sampled by a deterministic stride,
+    so their sizes are estimates (exact at or below it).
     """
     footprint = getattr(value, "memory_footprint_bytes", None)
     if callable(footprint):
@@ -29,20 +37,29 @@ def approximate_size_bytes(value: Any) -> int:
         n = len(value)
         if n == 0:
             return total
-        sample = value if n <= 256 else value[:: max(1, n // 256)]
+        sample = value if n <= SIZE_SAMPLE else value[:: n // SIZE_SAMPLE]
         per_item = sum(sys.getsizeof(item) for item in sample) / len(sample)
         return int(total + per_item * n)
     if isinstance(value, dict):
         # Recurse: a dict of lists (hash-aggregate state, join build
         # tables) is dominated by its values, not the container shell.
         total = sys.getsizeof(value)
-        for key, item in value.items():
-            total += sys.getsizeof(key)
+        n = len(value)
+        if n == 0:
+            return total
+        entries = value.items()
+        if n > SIZE_SAMPLE:
+            entries = list(islice(entries, 0, None, n // SIZE_SAMPLE))
+        entry_bytes = 0
+        for key, item in entries:
+            entry_bytes += sys.getsizeof(key)
             if isinstance(item, (list, tuple, dict, set, frozenset)):
-                total += approximate_size_bytes(item)
+                entry_bytes += approximate_size_bytes(item)
             else:
-                total += sys.getsizeof(item)
-        return total
+                entry_bytes += sys.getsizeof(item)
+        if n <= SIZE_SAMPLE:
+            return total + entry_bytes
+        return int(total + entry_bytes / len(entries) * n)
     if isinstance(value, (set, frozenset)):
         total = sys.getsizeof(value)
         for item in value:

@@ -66,9 +66,9 @@ class Vector:
             return list(self.data)
         values = self.data.tolist()
         if self.valid is not None:
-            valid = self.valid
             return [
-                values[i] if valid[i] else None for i in range(len(values))
+                value if ok else None
+                for value, ok in zip(values, self.valid.tolist())
             ]
         return values
 
@@ -229,5 +229,4 @@ class ColumnBatch:
             return [()] * self.num_rows
         columns = [self.vector(i).to_python_list() for i in
                    range(len(self.entries))]
-        return [tuple(col[r] for col in columns)
-                for r in range(self.num_rows)]
+        return list(zip(*columns))

@@ -19,6 +19,18 @@ def stable_hash(key: Any) -> int:
     would make recomputed map tasks shuffle records to different reducers
     than the original run.  This hash is stable across runs.
     """
+    # Exact-type dispatch for the common key types first (subclasses
+    # such as ``bool`` or ``IntEnum`` fall through to the chain below).
+    kind = type(key)
+    if kind is int:
+        return key & 0x7FFFFFFF
+    if kind is str:
+        return zlib.crc32(key.encode("utf-8")) & 0x7FFFFFFF
+    if isinstance(key, tuple):
+        value = 0x345678
+        for item in key:
+            value = (value * 1000003) ^ stable_hash(item)
+        return value & 0x7FFFFFFF
     if key is None:
         return 0
     if isinstance(key, bool):
@@ -31,11 +43,6 @@ def stable_hash(key: Any) -> int:
         return zlib.crc32(key.encode("utf-8")) & 0x7FFFFFFF
     if isinstance(key, bytes):
         return zlib.crc32(key) & 0x7FFFFFFF
-    if isinstance(key, tuple):
-        value = 0x345678
-        for item in key:
-            value = (value * 1000003) ^ stable_hash(item)
-        return value & 0x7FFFFFFF
     return zlib.crc32(repr(key).encode("utf-8")) & 0x7FFFFFFF
 
 

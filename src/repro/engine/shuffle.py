@@ -14,10 +14,14 @@ partition view of the data (Section 3.1) before the reduce stage is planned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
-
+import heapq
 import pickle
+from collections import Counter
+from dataclasses import dataclass, field
+from datetime import date, datetime
+from itertools import chain
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any
 
 from repro.cluster.worker import approximate_size_bytes
 from repro.engine.accumulator import log_decode_size, log_encode_size
@@ -57,6 +61,20 @@ _HEAVY_KEYS_PER_MAP = 8
 HEAVY_KEYS_TOP_N = 5
 
 
+#: Exact key types that label as their ``repr`` (subclasses such as
+#: ``IntEnum`` do too, via the slower ``isinstance`` check).
+_REPR_TYPES = frozenset({type(None), bool, int, float, str})
+
+#: Numeric key types that compare equal across types (``1 == 1.0 ==
+#: True``) while labelling differently.
+_NUMERIC_TYPES = frozenset({bool, int, float})
+
+#: Exact leaf types of keys whose equal values always share a label:
+#: the repr types (numerics checked apart) plus SQL DATE and TIMESTAMP
+#: values, which equal only their own type and label as a placeholder.
+_PLAIN_LEAF_TYPES = _REPR_TYPES | {date, datetime}
+
+
 def _key_label(key: Any) -> str:
     """Deterministic string label for a reduce key.
 
@@ -64,11 +82,81 @@ def _key_label(key: Any) -> str:
     sort-shuffle composite key objects — would repr with a memory
     address, so it collapses to a type placeholder instead (event logs
     must stay byte-identical across reruns)."""
-    if key is None or isinstance(key, (bool, int, float, str)):
+    kind = type(key)
+    if kind in _REPR_TYPES:
         return repr(key)
     if isinstance(key, tuple):
-        return "(" + ", ".join(_key_label(item) for item in key) + ")"
-    return f"<{type(key).__name__}>"
+        return "(" + ", ".join([
+            repr(item) if type(item) in _REPR_TYPES else _key_label(item)
+            for item in key
+        ]) + ")"
+    if isinstance(key, (bool, int, float, str)):
+        return repr(key)
+    return f"<{kind.__name__}>"
+
+
+def _equal_keys_label_alike(keys: list) -> bool:
+    """True when keys that compare equal always share a label, so
+    counting raw keys (a dict merges equal keys) then labelling each
+    distinct key counts labels exactly.
+
+    Holds when every leaf (through tuples, nested alike at each level)
+    is a plain scalar, date or timestamp, at most one numeric type
+    occurs (``1``, ``1.0`` and ``True`` are equal keys with three
+    labels), and no float leaf is zero (``0.0 == -0.0``).  A few
+    C-speed passes over the leaves; any other stream is labelled record
+    by record.
+    """
+    leaves = keys
+    kinds = set(map(type, leaves))
+    while tuple in kinds:
+        if len(kinds) > 1:
+            return False
+        leaves = list(chain.from_iterable(leaves))
+        kinds = set(map(type, leaves))
+    if not kinds <= _PLAIN_LEAF_TYPES:
+        return False
+    numeric = kinds & _NUMERIC_TYPES
+    if len(numeric) > 1:
+        return False
+    return float not in numeric or 0.0 not in leaves
+
+
+def _heavy_order(item: tuple[str, int]) -> tuple[int, str]:
+    """Sort key for ``(label, records)`` pairs: most records first,
+    ties by label."""
+    return (-item[1], item[0])
+
+
+def _heavy_key_labels(keys: list, top_n: int) -> list[tuple[str, int]]:
+    """The ``top_n`` ``(label, records)`` pairs of a map output's keys,
+    ordered by ``(-records, label)``.
+
+    Labels each distinct key once (per record only for streams where
+    equal keys may label differently, or keys are unhashable), then
+    selects the top ``top_n`` without sorting every label: ``nlargest``
+    finds the cut-off count and ``nsmallest`` breaks the tie among
+    labels at the cut-off (labels are unique, so the order is total).
+    """
+    if _equal_keys_label_alike(keys):
+        label_counts: dict[str, int] = {}
+        for key, count in Counter(keys).items():
+            label = _key_label(key)
+            label_counts[label] = label_counts.get(label, 0) + count
+    else:
+        label_counts = Counter(map(_key_label, keys))
+    if len(label_counts) <= top_n:
+        return sorted(label_counts.items(), key=_heavy_order)
+    cutoff = heapq.nlargest(top_n, label_counts.values())[-1]
+    above = sorted(
+        (item for item in label_counts.items() if item[1] > cutoff),
+        key=_heavy_order,
+    )
+    tied = heapq.nsmallest(
+        top_n - len(above),
+        (label for label, count in label_counts.items() if count == cutoff),
+    )
+    return above + [(label, cutoff) for label in tied]
 
 
 @dataclass
@@ -137,9 +225,9 @@ class MapOutputStats:
                 bucket_bytes[index] += size
             for key, count in partial["keys"]:
                 key_counts[key] = key_counts.get(key, 0) + count
-        heavy = sorted(
-            key_counts.items(), key=lambda item: (-item[1], item[0])
-        )[:HEAVY_KEYS_TOP_N]
+        heavy = sorted(key_counts.items(), key=_heavy_order)[
+            :HEAVY_KEYS_TOP_N
+        ]
         total_rows = sum(rows)
         total_bytes = sum(bucket_bytes)
         mean_rows = total_rows / self.num_reduces if self.num_reduces else 0.0
@@ -287,16 +375,12 @@ class ShuffleManager:
             log_encode_size(size) for size in bucket_bytes
         ]
         stats.record_counts[map_partition] = len(output)
-        key_counts: dict[str, int] = {}
-        for pair in output:
-            label = _key_label(pair[0])
-            key_counts[label] = key_counts.get(label, 0) + 1
         stats.skew_partials[map_partition] = {
             "rows": [len(bucket) for bucket in buckets],
             "bytes": bucket_bytes,
-            "keys": sorted(
-                key_counts.items(), key=lambda item: (-item[1], item[0])
-            )[:_HEAVY_KEYS_PER_MAP],
+            "keys": _heavy_key_labels(
+                list(map(itemgetter(0), output)), _HEAVY_KEYS_PER_MAP
+            ),
         }
         for collector in dep.stats_collectors:
             partial = collector.observe(output)

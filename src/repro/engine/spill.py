@@ -101,8 +101,11 @@ class SpillableGroups:
         self.owner = owner
         #: key -> accumulator list, live (unspilled-bucket) groups only.
         self.groups: dict[tuple, list] = {}
-        #: key -> first-seen sequence number, every key ever observed —
+        #: key -> first-seen sequence number of every key observed —
         #: the uncapped run's dict insertion order, restored at finish.
+        #: Built at the first spill from ``groups`` (whose insertion
+        #: order is exactly first-seen order until a key leaves it) and
+        #: kept up only while something is spilled.
         self._order: dict[tuple, int] = {}
         self._spilled: dict[int, _SpilledBucket] = {}
         self._bytes_per_group = 0
@@ -127,10 +130,6 @@ class SpillableGroups:
     def spilled(self) -> bool:
         return bool(self._spilled)
 
-    def note_key(self, key: tuple) -> None:
-        if key not in self._order:
-            self._order[key] = len(self._order)
-
     # -- building state -------------------------------------------------
     def live_accs(self, key: tuple) -> Optional[list]:
         """Accumulators for ``key``, creating the group if new; None
@@ -138,12 +137,12 @@ class SpillableGroups:
         accs = self.groups.get(key)
         if accs is not None:
             return accs
-        if self._spilled and spill_bucket(key) in self._spilled:
-            self.note_key(key)
-            return None
+        if self._spilled:
+            self._order.setdefault(key, len(self._order))
+            if spill_bucket(key) in self._spilled:
+                return None
         accs = [fn.initial() for fn in self.functions]
         self.groups[key] = accs
-        self.note_key(key)
         return accs
 
     def update_row(self, key: tuple, values: list) -> None:
@@ -210,6 +209,8 @@ class SpillableGroups:
             self._bytes_per_group = max(
                 approximate_size_bytes(next(iter(self.groups.items()))), 1
             )
+        if not self._spilled:
+            self._order = dict(zip(self.groups, range(len(self.groups))))
         released = written = runs = 0
         while self.groups and released < nbytes:
             counts: dict[int, int] = {}

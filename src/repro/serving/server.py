@@ -467,7 +467,10 @@ class SqlServer:
     # ------------------------------------------------------------------
     def drain(self) -> list[ServedQuery]:
         """Run every accepted query to a terminal state; returns the
-        completion order (shed tickets included)."""
+        tickets that reached one during this call, in completion order
+        (shed and failed tickets included).  :attr:`finished` keeps
+        every ticket the server ever completed."""
+        first = len(self.finished)
         while self._pending_total() or self._inflight:
             self._pump()
             if not self._inflight:
@@ -487,7 +490,7 @@ class SqlServer:
                 # records it on the ticket.
                 pass
             self._sweep()
-        return list(self.finished)
+        return self.finished[first:]
 
     def _sweep(self) -> None:
         """Book-keep every inflight ticket whose handle went terminal:

@@ -52,7 +52,8 @@ Enter SQL terminated by ';'.  Dot-commands:
                         interleaved
   .server [start|drain] multi-tenant serving status; 'start' hosts a
                         SqlServer over this context, 'drain' runs every
-                        accepted query; 'submit <tenant> <sql>' admits
+                        accepted query and lists the ones that finished
+                        in it; 'submit <tenant> <sql>' admits
                         one query under the tenant's quota
   .tenants [add <name> [tier]]  per-tenant serving sessions; 'add'
                         registers a tenant (tier: interactive, batch,
@@ -338,7 +339,13 @@ class Shell:
             return
         if argument == "drain":
             finished = server.drain()
-            for ticket in finished[-MAX_DISPLAY_ROWS:]:
+            shown = finished[-MAX_DISPLAY_ROWS:]
+            suffix = (
+                f" (showing last {len(shown)})"
+                if len(shown) < len(finished) else ""
+            )
+            self._write(f"drained {len(finished)} queries{suffix}")
+            for ticket in shown:
                 self._write(ticket.describe())
             self._write(server.describe())
             return

@@ -525,8 +525,9 @@ class BatchAggregator:
         gids, keys = self._group_ids(batch)
         group_accs = []
         spilled_gids: set[int] = set()
+        live_accs = self.state.live_accs
         for g, key in enumerate(keys):
-            accs = self.state.live_accs(key)
+            accs = live_accs(key)
             if accs is None:
                 # Key's bucket already spilled: the vectorized updates
                 # below land in a discarded sink; the rows themselves
@@ -1217,21 +1218,24 @@ def _emit_joined(
     return emit
 
 
-def _counted_emit(
-    emit: Callable[[Any], list], op: Optional[OperatorStamp]
-) -> Callable[[Any], list]:
-    """Wrap a flat-map emit so each call credits its output rows to the
-    join's plan-quality stamp."""
-    if op is None:
-        return emit
-    key = op.key
+def _joined(
+    parent: RDD,
+    emit: Callable[[Any], list],
+    op: Optional[OperatorStamp],
+    name: str,
+) -> RDD:
+    """``parent.flat_map(emit)`` named ``name``, crediting each
+    partition's joined rows to the join's plan-quality stamp in one
+    call (an empty partition credits nothing: it emitted nothing)."""
+    key = op.key if op is not None else None
 
-    def emit_counted(item) -> list:
-        out = emit(item)
-        record_operator_rows(key, len(out))
+    def join_partition(__, part: list) -> list:
+        out = [row for item in part for row in emit(item)]
+        if key is not None and part:
+            record_operator_rows(key, len(out))
         return out
 
-    return emit_counted
+    return MapPartitionsRDD(parent, join_partition, name=name)
 
 
 def shuffle_join(
@@ -1262,10 +1266,8 @@ def shuffle_join(
     if keyed_right is None:
         keyed_right = right.key_by(_key_function(right_keys))
     grouped = CoGroupedRDD(ctx, [keyed_left, keyed_right], partitioner)
-    emit = _counted_emit(
-        _emit_joined(join_type, left_width, right_width, residual), op
-    )
-    return grouped.flat_map(emit).set_name(f"{join_type}_join")
+    emit = _emit_joined(join_type, left_width, right_width, residual)
+    return _joined(grouped, emit, op, f"{join_type}_join")
 
 
 def copartitioned_join(
@@ -1301,10 +1303,8 @@ def copartitioned_join(
     )
     keyed_right.partitioner = partitioner
     grouped = CoGroupedRDD(ctx, [keyed_left, keyed_right], partitioner)
-    emit = _counted_emit(
-        _emit_joined(join_type, left_width, right_width, residual), op
-    )
-    return grouped.flat_map(emit).set_name("copartitioned_join")
+    emit = _emit_joined(join_type, left_width, right_width, residual)
+    return _joined(grouped, emit, op, "copartitioned_join")
 
 
 def _charge_build_side(ctx: "EngineContext", value: Any):
@@ -1367,9 +1367,7 @@ def broadcast_join(
                 out.append(build_nulls + tuple(row))
         return out
 
-    return stream_side.flat_map(_counted_emit(emit, op)).set_name(
-        "broadcast_join"
-    )
+    return _joined(stream_side, emit, op, "broadcast_join")
 
 
 def cross_join(
@@ -1390,7 +1388,7 @@ def cross_join(
                 out.append(combined)
         return out
 
-    return left.flat_map(_counted_emit(emit, op)).set_name("cross_join")
+    return _joined(left, emit, op, "cross_join")
 
 
 def pre_shuffle_side(

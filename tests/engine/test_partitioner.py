@@ -1,5 +1,10 @@
 """Partitioner behaviour: stability, ranges, equality."""
 
+import collections
+import datetime
+import enum
+import zlib
+
 import pytest
 
 from repro.engine.partitioner import (
@@ -41,6 +46,54 @@ class TestStableHash:
                 return "weird!"
 
         assert stable_hash(Weird()) == stable_hash(Weird())
+
+    def test_matches_isinstance_chain_reference(self):
+        # Exact-type fast paths must not move any key to another
+        # reducer: compare against the plain isinstance chain.
+        def reference(key):
+            if key is None:
+                return 0
+            if isinstance(key, bool):
+                return int(key)
+            if isinstance(key, int):
+                return key & 0x7FFFFFFF
+            if isinstance(key, float):
+                return zlib.crc32(repr(key).encode("utf-8")) & 0x7FFFFFFF
+            if isinstance(key, str):
+                return zlib.crc32(key.encode("utf-8")) & 0x7FFFFFFF
+            if isinstance(key, bytes):
+                return zlib.crc32(key) & 0x7FFFFFFF
+            if isinstance(key, tuple):
+                value = 0x345678
+                for item in key:
+                    value = (value * 1000003) ^ reference(item)
+                return value & 0x7FFFFFFF
+            return zlib.crc32(repr(key).encode("utf-8")) & 0x7FFFFFFF
+
+        class Level(enum.IntEnum):
+            LOW = 1
+            HIGH = 2 ** 40
+
+        class Tag(str):
+            pass
+
+        class Big(int):
+            pass
+
+        Pair = collections.namedtuple("Pair", "a b")
+        scalars = [
+            None, True, False, 0, 1, -1, 2 ** 31, -(2 ** 63), 10 ** 30,
+            Big(7), Level.LOW, Level.HIGH, 0.0, -0.0, 1.5, float("nan"),
+            float("inf"), "", "shark", "\u00e9t\u00e9", Tag("t"), b"", b"raw",
+            datetime.date(1998, 12, 1), datetime.datetime(2020, 1, 2, 3, 4),
+        ]
+        corpus = scalars + [
+            (), (1,), ("a", 1), (None, True, 2.5), ((1, "x"), (b"y",)),
+            (datetime.date(1995, 3, 15), ("AIR", 3)), Pair(1, "b"),
+            tuple(scalars),
+        ]
+        for key in corpus:
+            assert stable_hash(key) == reference(key), key
 
 
 class TestHashPartitioner:

@@ -70,6 +70,21 @@ def test_server_runs_queries_and_matches_direct_results():
     assert ticket.latency_s >= 0.0
 
 
+def test_drain_returns_only_tickets_finished_in_that_call():
+    server = _build_server()
+    first = server.submit("alice", COUNT, name="first")
+    assert server.drain() == [first]
+    second = server.submit("bob", AGG, name="second")
+    third = server.submit("alice", FILTER, name="third")
+    drained = server.drain()
+    assert sorted(t.name for t in drained) == ["second", "third"]
+    assert all(t.state == "done" for t in drained)
+    assert server.drain() == []
+    assert server.finished[0] is first
+    assert {t.name for t in server.finished} == {"first", "second", "third"}
+    assert second in server.finished and third in server.finished
+
+
 def test_server_registers_itself_on_the_engine_context():
     server = _build_server()
     assert server.shark.engine.serving is server

@@ -258,8 +258,12 @@ class TestServingCommands:
         assert "accepted query 0 for tenant dash (interactive)" in output[-1]
         drive(shell, ".server drain")
         text = "\n".join(output)
+        assert "drained 1 queries" in text
         assert "served 0" in text and "done" in text
         assert "1 completed" in text
+        # A second drain lists only what finished in it.
+        drive(shell, ".server drain")
+        assert "drained 0 queries" in output[-2]
 
     def test_bad_tenant_inputs_report_errors(self, session):
         shell, output = session
